@@ -18,7 +18,7 @@
 //	parbench -cluster -json   …merged into the -out document under "cluster"
 //	parbench -durability      WAL fsync policy cost + group-commit vs always under concurrency
 //	parbench -durability -json …merged into the -out document under "durability"
-//	parbench -ruleprofile     per-rule match-time attribution tables
+//	parbench -ruleprofile     per-rule match and per-meta-rule redaction tables
 //	parbench -cpuprofile f    write a pprof CPU profile of the run to f
 //	parbench -memprofile f    write a pprof heap profile at exit to f
 //
@@ -47,7 +47,7 @@ func main() {
 	streamBench := flag.Bool("stream", false, "benchmark continuous temporal ingest (E14) against an in-process paruleld")
 	clusterBench := flag.Bool("cluster", false, "benchmark 1-node vs 3-node aggregate ingest against an in-process cluster")
 	durability := flag.Bool("durability", false, "run the durability benchmark (WAL fsync policy comparison) instead of the experiment tables")
-	ruleProfile := flag.Bool("ruleprofile", false, "print per-rule match attribution tables instead of the experiment tables")
+	ruleProfile := flag.Bool("ruleprofile", false, "print per-rule match attribution and per-meta-rule redaction tables instead of the experiment tables")
 	top := flag.Int("top", 10, "rules shown per workload under -ruleprofile (the rest fold into one row)")
 	out := flag.String("out", "BENCH_results.json", "output path for -json (\"-\" for stdout)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"parulel/internal/compile"
 )
 
 // TestExperimentsRunQuick executes every experiment at quick size and
@@ -63,5 +65,42 @@ func TestPotential(t *testing.T) {
 	}
 	if p := potential([]time.Duration{6, 2}); p != (8.0 / 6.0) {
 		t.Errorf("skewed potential = %v, want %v", p, 8.0/6.0)
+	}
+}
+
+// TestMinTimeKeepsFastestRep: kept runs after each new fastest rep, so
+// what it captures belongs to the rep whose time minTime returns.
+func TestMinTimeKeepsFastestRep(t *testing.T) {
+	sleeps := []time.Duration{30 * time.Millisecond, time.Millisecond, 15 * time.Millisecond}
+	var rep, kept int
+	best, err := minTime(len(sleeps), func() (func() error, error) {
+		d := sleeps[rep]
+		return func() error { time.Sleep(d); rep++; return nil }, nil
+	}, func() { kept = rep - 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept != 1 {
+		t.Errorf("kept rep %d, want the fastest, rep 1", kept)
+	}
+	if best < sleeps[1] || best >= sleeps[2] {
+		t.Errorf("best %v, want rep 1's time (slept %v)", best, sleeps[1])
+	}
+}
+
+// TestJSONRowPhasesWithinWall: a row's phase times come from the rep
+// that set its wall time, so they never add up to more than it.
+func TestJSONRowPhasesWithinWall(t *testing.T) {
+	for _, spec := range suite(true) {
+		for _, cfg := range jsonConfigs[:2] {
+			r, err := measureRow(spec, cfg, compile.EvalBytecode, 3)
+			if err != nil {
+				t.Fatalf("%s: %v", spec.name, err)
+			}
+			if sum := r.MatchNS + r.RedactNS + r.FireNS + r.ApplyNS; sum > r.WallNS {
+				t.Errorf("%s [%s w=%d]: phases add up to %d ns, more than the wall time %d ns",
+					spec.name, cfg.matcher, cfg.workers, sum, r.WallNS)
+			}
+		}
 	}
 }

@@ -26,7 +26,7 @@ type JSONResult struct {
 	Engine           string  `json:"engine"`
 	Matcher          string  `json:"matcher"`
 	Workers          int     `json:"workers"`
-	WallNS           int64   `json:"wall_ns"` // fastest of the repetitions
+	WallNS           int64   `json:"wall_ns"` // fastest of the repetitions; every other figure is from the same one
 	Cycles           int     `json:"cycles"`
 	Firings          int     `json:"firings"`
 	Redactions       int     `json:"redactions"`
@@ -37,7 +37,7 @@ type JSONResult struct {
 	FireNS           int64   `json:"fire_ns"`
 	ApplyNS          int64   `json:"apply_ns"`
 	PotentialSpeedup float64 `json:"potential_speedup"` // sum/max of worker match time
-	// TopRules are the five most-fired rules of the final repetition,
+	// TopRules are the five most-fired rules of the fastest repetition,
 	// ordered by firing count — enough to spot a workload whose hot rule
 	// set shifted between benchmark documents.
 	TopRules []RuleFiring `json:"top_rules,omitempty"`
@@ -80,13 +80,16 @@ type JSONDoc struct {
 	Results     []JSONResult `json:"results"`
 }
 
-// jsonConfigs are the engine configurations measured per workload: the
-// worker-scaling axis on RETE plus a TREAT point, mirroring E2/E4.
-var jsonConfigs = []struct {
+// jsonConfig is one engine configuration of the document.
+type jsonConfig struct {
 	matcher string
 	factory func(mode compile.EvalMode) match.Factory
 	workers int
-}{
+}
+
+// jsonConfigs are the engine configurations measured per workload: the
+// worker-scaling axis on RETE plus a TREAT point, mirroring E2/E4.
+var jsonConfigs = []jsonConfig{
 	{"rete", func(m compile.EvalMode) match.Factory { return rete.Factory(rete.Options{EvalMode: m}) }, 1},
 	{"rete", func(m compile.EvalMode) match.Factory { return rete.Factory(rete.Options{EvalMode: m}) }, 2},
 	{"rete", func(m compile.EvalMode) match.Factory { return rete.Factory(rete.Options{EvalMode: m}) }, 4},
@@ -108,66 +111,69 @@ func RunJSON(quick bool, mode compile.EvalMode) (*JSONDoc, error) {
 	}
 	for _, spec := range suite(quick) {
 		for _, cfg := range jsonConfigs {
-			var last *core.Engine
-			var lastRes core.Result
-			wall, err := minTime(reps(quick), func() (func() error, error) {
-				prog, err := programs.Load(spec.prog)
-				if err != nil {
-					return nil, err
-				}
-				e := core.New(prog, core.Options{
-					Workers:   cfg.workers,
-					Matcher:   cfg.factory(mode),
-					MaxCycles: 1 << 20,
-					EvalMode:  mode,
-				})
-				if err := spec.load(e); err != nil {
-					return nil, err
-				}
-				last = e
-				return func() error {
-					res, err := e.Run()
-					lastRes = res
-					return err
-				}, nil
-			})
+			row, err := measureRow(spec, cfg, mode, reps(quick))
 			if err != nil {
 				return nil, fmt.Errorf("%s [%s w=%d]: %w", spec.name, cfg.matcher, cfg.workers, err)
 			}
-			m, r, f, a := lastRes.Stats.Totals()
-			matchWork, _ := last.WorkerWork()
-			var sum, max time.Duration
-			for _, d := range matchWork {
-				sum += d
-				if d > max {
-					max = d
-				}
-			}
-			speedup := 1.0
-			if max > 0 {
-				speedup = float64(sum) / float64(max)
-			}
-			doc.Results = append(doc.Results, JSONResult{
-				Workload:         spec.name,
-				Engine:           "parulel",
-				Matcher:          cfg.matcher,
-				Workers:          cfg.workers,
-				WallNS:           wall.Nanoseconds(),
-				Cycles:           lastRes.Cycles,
-				Firings:          lastRes.Firings,
-				Redactions:       lastRes.Redactions,
-				WriteConflicts:   lastRes.WriteConflicts,
-				WMSize:           last.Memory().Len(),
-				MatchNS:          m.Nanoseconds(),
-				RedactNS:         r.Nanoseconds(),
-				FireNS:           f.Nanoseconds(),
-				ApplyNS:          a.Nanoseconds(),
-				PotentialSpeedup: speedup,
-				TopRules:         topRules(last.RuleFires(), 5),
-			})
+			doc.Results = append(doc.Results, row)
 		}
 	}
 	return doc, nil
+}
+
+// measureRow runs one workload under one configuration reps times and
+// reports the fastest rep. Every figure of the row comes from that rep,
+// so its phases add up to no more than its wall time.
+func measureRow(spec workloadSpec, cfg jsonConfig, mode compile.EvalMode, reps int) (JSONResult, error) {
+	// cur is the rep being timed; best the fastest so far.
+	var cur, best struct {
+		e   *core.Engine
+		res core.Result
+	}
+	wall, err := minTime(reps, func() (func() error, error) {
+		prog, err := programs.Load(spec.prog)
+		if err != nil {
+			return nil, err
+		}
+		e := core.New(prog, core.Options{
+			Workers:   cfg.workers,
+			Matcher:   cfg.factory(mode),
+			MaxCycles: 1 << 20,
+			EvalMode:  mode,
+		})
+		if err := spec.load(e); err != nil {
+			return nil, err
+		}
+		cur.e = e
+		return func() error {
+			var err error
+			cur.res, err = e.Run()
+			return err
+		}, nil
+	}, func() { best = cur })
+	if err != nil {
+		return JSONResult{}, err
+	}
+	m, r, f, a := best.res.Stats.Totals()
+	matchWork, _ := best.e.WorkerWork()
+	return JSONResult{
+		Workload:         spec.name,
+		Engine:           "parulel",
+		Matcher:          cfg.matcher,
+		Workers:          cfg.workers,
+		WallNS:           wall.Nanoseconds(),
+		Cycles:           best.res.Cycles,
+		Firings:          best.res.Firings,
+		Redactions:       best.res.Redactions,
+		WriteConflicts:   best.res.WriteConflicts,
+		WMSize:           best.e.Memory().Len(),
+		MatchNS:          m.Nanoseconds(),
+		RedactNS:         r.Nanoseconds(),
+		FireNS:           f.Nanoseconds(),
+		ApplyNS:          a.Nanoseconds(),
+		PotentialSpeedup: potential(matchWork),
+		TopRules:         topRules(best.e.RuleFires(), 5),
+	}, nil
 }
 
 // WriteJSON renders the document, indented for diff-friendliness.

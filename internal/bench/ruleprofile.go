@@ -14,7 +14,8 @@ import (
 
 // RuleProfiles runs each suite workload with per-rule profiling enabled
 // and prints where match time goes rule by rule — the offline companion
-// to the server's /metrics per-rule series (docs/OBSERVABILITY.md).
+// to the server's /metrics per-rule series (docs/OBSERVABILITY.md) — and
+// then the redaction work of each meta-rule.
 // Rules beyond `top` per (workload, matcher) are folded into one
 // remainder row so hot rules stay readable on wide programs.
 func RuleProfiles(w io.Writer, quick bool, top int) error {
@@ -35,6 +36,7 @@ func RuleProfiles(w io.Writer, quick bool, top int) error {
 		fmt.Fprintf(w, "%s — per-rule match attribution\n", spec.name)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 		fmt.Fprintln(tw, "matcher\trule\tmatch-ms\tmatch%\ttokens\tprobes\tinsts\tfires\t")
+		var metas []core.MetaRuleProfile
 		for _, m := range matchers {
 			prog, err := programs.Load(spec.prog)
 			if err != nil {
@@ -48,6 +50,7 @@ func RuleProfiles(w io.Writer, quick bool, top int) error {
 				return err
 			}
 			profs := e.RuleProfiles()
+			metas = e.MetaRuleProfiles() // the same under either matcher
 			var totalNS int64
 			for _, p := range profs {
 				totalNS += p.MatchNS
@@ -83,6 +86,17 @@ func RuleProfiles(w io.Writer, quick bool, top int) error {
 		}
 		if err := tw.Flush(); err != nil {
 			return err
+		}
+		if len(metas) > 0 {
+			fmt.Fprintf(w, "%s — per-meta-rule redaction work\n", spec.name)
+			tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
+			fmt.Fprintln(tw, "meta-rule\ttuples\ttests\tkills\t")
+			for _, p := range metas {
+				fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t\n", p.MetaRule, p.Tuples, p.Tests, p.Kills)
+			}
+			if err := tw.Flush(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -62,10 +62,15 @@ type outcome struct {
 	firing                                 []string // "cycle:rule:count" sequence
 }
 
-func runOutcome(t *testing.T, prog *compile.Program, load func(workload.Inserter) error, f match.Factory, mode compile.EvalMode) outcome {
+// runOutcome runs prog to quiescence on workers workers with the given
+// matcher and eval backend, using the from-scratch redactor if asked.
+func runOutcome(t *testing.T, prog *compile.Program, load func(workload.Inserter) error, f match.Factory, mode compile.EvalMode, workers int, fromScratch bool) outcome {
 	t.Helper()
 	tr := &firingTracer{}
-	e := core.New(prog, core.Options{Workers: 2, MaxCycles: 1 << 20, Matcher: f, EvalMode: mode, Tracer: tr})
+	e := core.New(prog, core.Options{Workers: workers, MaxCycles: 1 << 20, Matcher: f, EvalMode: mode, Tracer: tr})
+	if fromScratch {
+		core.UseFromScratchRedaction(e)
+	}
 	if err := load(e); err != nil {
 		t.Fatal(err)
 	}
@@ -122,22 +127,47 @@ func diffOutcomes(t *testing.T, name string, want, got outcome) {
 // counts, firings, redactions, write conflicts, halt status, final
 // working-memory contents and per-cycle firing sequences.
 func TestMatcherDifferentialEmbeddedPrograms(t *testing.T) {
-	cases := []struct {
-		prog string
-		load func(workload.Inserter) error
-	}{
-		{programs.Quickstart, func(i workload.Inserter) error { return workload.People(i, 10) }},
-		{programs.Alexsys, func(i workload.Inserter) error { return workload.Alexsys(i, 25, 18, 1) }},
-		{programs.Waltz, func(i workload.Inserter) error { return workload.WaltzScene(i, 8) }},
-		{programs.Closure, func(i workload.Inserter) error { return workload.LayeredDAG(i, 4, 4, 2, 1) }},
-		{programs.Manners, func(i workload.Inserter) error { return workload.Manners(i, 10, 2, 4, 1) }},
-		{programs.Life, func(i workload.Inserter) error {
-			return workload.LifeGrid(i, 6, 6, workload.LifeRandom(6, 6, 0.4, 3), 3)
-		}},
-		{programs.Circuit, func(i workload.Inserter) error {
-			return workload.GenCircuit(6, 8, true, 1).Insert(i)
-		}},
+	for _, tc := range embeddedCases {
+		tc := tc
+		t.Run(tc.prog, func(t *testing.T) {
+			prog, err := programs.Load(tc.prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := runOutcome(t, prog, tc.load, matcherConfigs[0].factory, matcherConfigs[0].eval, 2, false)
+			for _, cfg := range matcherConfigs[1:] {
+				diffOutcomes(t, cfg.name, base, runOutcome(t, prog, tc.load, cfg.factory, cfg.eval, 2, false))
+			}
+		})
 	}
+}
+
+// embeddedCases load every embedded program with a small workload.
+var embeddedCases = []struct {
+	prog string
+	load func(workload.Inserter) error
+}{
+	{programs.Quickstart, func(i workload.Inserter) error { return workload.People(i, 10) }},
+	{programs.Alexsys, func(i workload.Inserter) error { return workload.Alexsys(i, 25, 18, 1) }},
+	{programs.Waltz, func(i workload.Inserter) error { return workload.WaltzScene(i, 8) }},
+	{programs.Closure, func(i workload.Inserter) error { return workload.LayeredDAG(i, 4, 4, 2, 1) }},
+	{programs.Manners, func(i workload.Inserter) error { return workload.Manners(i, 10, 2, 4, 1) }},
+	{programs.Life, func(i workload.Inserter) error {
+		return workload.LifeGrid(i, 6, 6, workload.LifeRandom(6, 6, 0.4, 3), 3)
+	}},
+	{programs.Circuit, func(i workload.Inserter) error {
+		return workload.GenCircuit(6, 8, true, 1).Insert(i)
+	}},
+}
+
+// TestIncrementalRedactionMatchesFromScratch runs every embedded program
+// under every grid configuration and worker count, and requires each run
+// to reproduce, byte for byte, the run whose redactor recomputes every
+// cycle from scratch. A larger alexsys input crosses the threshold at
+// which redaction passes stripe across workers.
+func TestIncrementalRedactionMatchesFromScratch(t *testing.T) {
+	cases := append(embeddedCases[:len(embeddedCases):len(embeddedCases)], embeddedCases[1])
+	cases[len(cases)-1].load = func(i workload.Inserter) error { return workload.Alexsys(i, 60, 50, 7) }
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.prog, func(t *testing.T) {
@@ -145,9 +175,12 @@ func TestMatcherDifferentialEmbeddedPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := runOutcome(t, prog, tc.load, matcherConfigs[0].factory, matcherConfigs[0].eval)
-			for _, cfg := range matcherConfigs[1:] {
-				diffOutcomes(t, cfg.name, base, runOutcome(t, prog, tc.load, cfg.factory, cfg.eval))
+			ref := runOutcome(t, prog, tc.load, matcherConfigs[0].factory, matcherConfigs[0].eval, 1, true)
+			for _, cfg := range matcherConfigs {
+				for _, workers := range []int{1, 2, 4} {
+					got := runOutcome(t, prog, tc.load, cfg.factory, cfg.eval, workers, false)
+					diffOutcomes(t, fmt.Sprintf("%s w=%d", cfg.name, workers), ref, got)
+				}
 			}
 		})
 	}

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -168,8 +169,10 @@ type Engine struct {
 	opts    Options
 	workers []*worker
 
-	// conflictSet is the union of all workers' conflict sets, by key.
-	conflictSet map[match.Key]*match.Instantiation
+	// conflictSet is the union of all workers' conflict sets, by key. Its
+	// entries also carry the incremental redactor's per-instantiation
+	// state.
+	conflictSet map[match.Key]*redEntry
 	// fired holds refraction state: keys of instantiations that have fired
 	// and are still continuously present in the conflict set.
 	fired map[match.Key]bool
@@ -184,12 +187,16 @@ type Engine struct {
 	pendingAddIdx map[int64]int
 	pendingIdxLen int
 	pendingTombs  int
-	// eligible is the reused scratch for Step's eligible-set construction;
-	// it never escapes a cycle.
+	// eligible is the reused scratch for the cycle's eligible set (from
+	// scratch) or its survivors (incremental); it never escapes a cycle.
 	eligible []*match.Instantiation
-	redact   *redactor
-	result   Result
-	halted   bool
+	// gone and came collect the match phase's eligible-set delta for the
+	// incremental redactor: conflict-set removals that had not fired, and
+	// additions that are not refracted.
+	gone, came []*redEntry
+	redact     *redactor
+	result     Result
+	halted     bool
 	// activity counts instantiations entering the conflict set per rule,
 	// feeding the copy-and-constrain advisor (copycon.Advise).
 	activity map[string]int
@@ -227,7 +234,7 @@ func New(prog *compile.Program, opts Options) *Engine {
 		prog:        prog,
 		mem:         wm.NewMemory(prog.Schema),
 		opts:        opts,
-		conflictSet: make(map[match.Key]*match.Instantiation),
+		conflictSet: make(map[match.Key]*redEntry),
 		fired:       make(map[match.Key]bool),
 		redact:      newRedactor(prog.MetaRules, opts.Workers, opts.DisableRedactionIndex, opts.SequentialRedaction, opts.EvalMode),
 		result:      Result{Stats: &stats.Run{}},
@@ -407,28 +414,27 @@ func (e *Engine) Step() (bool, error) {
 	e.applyDelta(e.takePending())
 	cyc.Match = time.Since(t0)
 
-	// Eligible = conflict set minus refraction. The scratch slice is
-	// reused across cycles; survivors alias it only within this Step.
-	eligible := e.eligible[:0]
-	for k, in := range e.conflictSet {
-		if !e.fired[k] {
-			eligible = append(eligible, in)
-		}
-	}
-	e.eligible = eligible
-	match.SortInstantiations(eligible)
-	cyc.ConflictSize = len(eligible)
+	// Eligible = conflict set minus refraction.
+	cyc.ConflictSize = e.refreshEligible()
 	if tr != nil {
 		tr.PhaseEnd(PhaseMatch, cyc.Match)
-		tr.InstantiationsFound(len(e.conflictSet), len(eligible))
+		tr.InstantiationsFound(len(e.conflictSet), cyc.ConflictSize)
 	}
-	if len(eligible) == 0 {
+	if cyc.ConflictSize == 0 {
+		e.quiesce()
 		return false, nil
 	}
 
 	// REDACT: meta-rule fixpoint.
 	t0 = time.Now()
-	survivors, rounds, redacted := e.redact.run(eligible)
+	var survivors []*match.Instantiation
+	var rounds, redacted int
+	if e.redact.incremental() {
+		survivors, rounds, redacted = e.redact.redactLive(e.eligible[:0])
+		e.eligible = survivors
+	} else {
+		survivors, rounds, redacted = e.redact.run(e.eligible)
+	}
 	cyc.Redact = time.Since(t0)
 	cyc.Redacted = redacted
 	e.result.Redactions += redacted
@@ -449,6 +455,7 @@ func (e *Engine) Step() (bool, error) {
 			tr.PhaseEnd(PhaseApply, 0)
 			tr.Commit(0, 0, false)
 		}
+		e.quiesce()
 		return false, nil
 	}
 
@@ -465,6 +472,7 @@ func (e *Engine) Step() (bool, error) {
 		e.fired[in.Key()] = true
 		e.fires[in.Rule.Name]++
 	}
+	e.redact.markFired()
 	if tr != nil {
 		tr.PhaseEnd(PhaseFire, cyc.Fire)
 		counts := make(map[string]int, 8)
@@ -505,9 +513,52 @@ func (e *Engine) Step() (bool, error) {
 			e.result.Cycles, cyc.ConflictSize, cyc.Redacted, cyc.Fired, cyc.DeltaSize, conflicts)
 	}
 	if halted {
+		e.quiesce()
 		return false, nil
 	}
 	return true, nil
+}
+
+// refreshEligible brings the eligible set up to date with the match
+// phase and returns its size. From scratch, it gathers and sorts the
+// whole set into e.eligible; incrementally, it applies the delta
+// applyDelta collected, or loads the whole set when the redactor is cold.
+func (e *Engine) refreshEligible() int {
+	r := e.redact
+	if r.live != nil {
+		r.live.admit(r.plan, e.gone, e.came)
+		clear(e.gone)
+		clear(e.came)
+		e.gone, e.came = e.gone[:0], e.came[:0]
+		return len(r.live.order)
+	}
+	if r.incremental() {
+		all := make([]*redEntry, 0, len(e.conflictSet))
+		for k, n := range e.conflictSet {
+			if !e.fired[k] {
+				all = append(all, n)
+			}
+		}
+		r.load(all)
+		return len(r.live.order)
+	}
+	eligible := e.eligible[:0]
+	for k, n := range e.conflictSet {
+		if !e.fired[k] {
+			eligible = append(eligible, n.in)
+		}
+	}
+	e.eligible = eligible
+	match.SortInstantiations(eligible)
+	return len(eligible)
+}
+
+// quiesce drops the per-run redaction state when a run ends: an idle
+// engine holds no per-instantiation redaction state, and the next cycle
+// reloads it from the conflict set.
+func (e *Engine) quiesce() {
+	e.redact.release()
+	e.eligible, e.gone, e.came = nil, nil, nil
 }
 
 // applyDelta feeds the delta to every worker concurrently and folds the
@@ -531,17 +582,38 @@ func (e *Engine) applyDelta(delta wm.Delta) {
 		}
 		wg.Wait()
 	}
+	// A warm incremental redactor is fed the eligible-set delta; a cold
+	// one reloads the whole set after the fold.
+	track := e.redact.live != nil
 	for _, w := range e.workers {
 		for _, in := range w.changes.Removed {
-			delete(e.conflictSet, in.Key())
-			delete(e.fired, in.Key())
+			k := in.Key()
+			if track && !e.fired[k] {
+				if n := e.conflictSet[k]; n != nil {
+					e.gone = append(e.gone, n)
+				}
+			}
+			delete(e.conflictSet, k)
+			delete(e.fired, k)
 		}
 		for _, in := range w.changes.Added {
-			e.conflictSet[in.Key()] = in
+			k := in.Key()
+			n := &redEntry{in: in}
+			e.conflictSet[k] = n
 			e.activity[in.Rule.Name]++
+			if track && !e.fired[k] {
+				e.came = append(e.came, n)
+			}
 		}
 		w.changes = match.Changes{}
 	}
+}
+
+// MetaRuleProfiles returns, per meta-rule in declaration order, the
+// redaction work done so far: tuples formed, meta-tests evaluated and
+// kills (see MetaRuleProfile).
+func (e *Engine) MetaRuleProfiles() []MetaRuleProfile {
+	return slices.Clone(e.redact.profiles)
 }
 
 // RuleActivity returns, per rule, how many instantiations entered the
@@ -632,8 +704,8 @@ func (e *Engine) WorkerWork() (matchWork, fireWork []time.Duration) {
 // order (mainly for tests and tooling).
 func (e *Engine) ConflictSet() []*match.Instantiation {
 	out := make([]*match.Instantiation, 0, len(e.conflictSet))
-	for _, in := range e.conflictSet {
-		out = append(out, in)
+	for _, n := range e.conflictSet {
+		out = append(out, n.in)
 	}
 	match.SortInstantiations(out)
 	return out

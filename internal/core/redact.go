@@ -24,12 +24,19 @@ import (
 // already deleted — so the synchronous-round fixpoint is reached after
 // exactly one round, and the redactor runs a single pass.
 //
+// The same monotonicity makes the pass incremental (incredact.go): an
+// instantiation is redacted exactly when at least one matching tuple of
+// live instantiations names it, so counting those tuples per
+// instantiation as instantiations come and go gives the from-scratch
+// answer. The engine uses the incremental redactor by default; run below
+// recomputes from scratch and serves the E7 (no index) and E8
+// (sequential) ablations and the tests as the reference.
+//
 // Under synchronous semantics the pass parallelizes: matches are a pure
 // function of the eligible set and the dead-set is a union, so tuple
-// enumeration is striped across the engine's workers by the first
-// pattern's candidates. Sequential semantics (E8) is inherently serial —
-// each match's immediate effect feeds the next — and always runs on one
-// goroutine.
+// enumeration is striped across the engine's workers. Sequential
+// semantics (E8) is inherently serial — each match's immediate effect
+// feeds the next — and always runs on one goroutine.
 type redactor struct {
 	metas []*compile.MetaRule
 	// workers bounds the goroutines used for the synchronous pass.
@@ -46,21 +53,63 @@ type redactor struct {
 	sequential bool
 	// evalMode is the backend for meta-rule test expressions.
 	evalMode compile.EvalMode
+	// profiles counts, per meta-rule, the work of every pass so far.
+	profiles []MetaRuleProfile
+
+	// plan is the compiled enumeration plan of the incremental redactor;
+	// nil when noIndex or sequential selects the from-scratch path.
+	plan *incPlan
+	// live is the incremental redactor's state: the eligible set, its
+	// pattern indexes and redaction counts. nil while cold — before the
+	// first cycle and after a run quiesces — in which case the next cycle
+	// loads the whole eligible set.
+	live *incState
 }
 
 func newRedactor(metas []*compile.MetaRule, workers int, noIndex, sequential bool, evalMode compile.EvalMode) *redactor {
 	if workers < 1 {
 		workers = 1
 	}
-	return &redactor{metas: metas, workers: workers, noIndex: noIndex, sequential: sequential, evalMode: evalMode}
+	r := &redactor{metas: metas, workers: workers, noIndex: noIndex, sequential: sequential, evalMode: evalMode}
+	r.profiles = make([]MetaRuleProfile, len(metas))
+	for i, m := range metas {
+		r.profiles[i].MetaRule = m.Name
+	}
+	if !noIndex && !sequential {
+		r.plan = newIncPlan(metas)
+	}
+	return r
+}
+
+// MetaRuleProfile attributes redaction work to one meta-rule. Tuples
+// counts complete tuples formed (every join test passed), Tests the
+// meta-test expressions evaluated on them, and Kills the tuples that
+// passed every test and so redact their targets. The incremental
+// redactor forms each tuple once when its last member arrives, and once
+// more when its first member leaves unless every target leaves too (that
+// pass counts no kills); the from-scratch path re-forms every tuple every
+// cycle.
+type MetaRuleProfile struct {
+	MetaRule string `json:"meta_rule"`
+	Tuples   uint64 `json:"tuples"`
+	Tests    uint64 `json:"tests"`
+	Kills    uint64 `json:"kills"`
+}
+
+func (p *MetaRuleProfile) add(o MetaRuleProfile) {
+	p.Tuples += o.Tuples
+	p.Tests += o.Tests
+	p.Kills += o.Kills
 }
 
 // parallelThreshold is the pattern-0 candidate count below which striping
-// the enumeration is not worth the goroutine overhead.
+// the from-scratch enumeration is not worth the goroutine overhead.
 const parallelThreshold = 64
 
-// run computes the surviving instantiations, the number of rounds (0 or
-// 1), and the number of redacted instantiations.
+// run computes, from scratch, the surviving instantiations, the number of
+// rounds (0 or 1), and the number of redacted instantiations. It is the
+// redaction path of the E7 and E8 ablations and the reference the
+// incremental redactor is tested against.
 func (r *redactor) run(eligible []*match.Instantiation) ([]*match.Instantiation, int, int) {
 	if len(r.metas) == 0 || len(eligible) == 0 {
 		return eligible, 0, 0
@@ -70,30 +119,32 @@ func (r *redactor) run(eligible []*match.Instantiation) ([]*match.Instantiation,
 	for _, in := range eligible {
 		byRule[in.Rule] = append(byRule[in.Rule], in)
 	}
-	for _, m := range r.metas {
+	for mi, m := range r.metas {
 		states := r.buildStates(m, byRule)
 		switch {
 		case r.sequential, r.workers == 1, len(states[0].cands) < parallelThreshold:
-			r.matchMeta(m, states, 0, 1, dead)
+			r.matchMeta(m, states, 0, 1, dead, &r.profiles[mi])
 		default:
 			// Stripe pattern-0 candidates across workers; each collects a
-			// local dead-set; the union is order-independent.
+			// local dead-set and profile; the unions are order-independent.
 			w := r.workers
 			locals := make([]map[match.Key]bool, w)
+			profs := make([]MetaRuleProfile, w)
 			var wg sync.WaitGroup
 			for k := 0; k < w; k++ {
 				wg.Add(1)
 				go func(k int) {
 					defer wg.Done()
 					locals[k] = make(map[match.Key]bool)
-					r.matchMeta(m, states, k, w, locals[k])
+					r.matchMeta(m, states, k, w, locals[k], &profs[k])
 				}(k)
 			}
 			wg.Wait()
-			for _, l := range locals {
+			for k, l := range locals {
 				for key := range l {
 					dead[key] = true
 				}
+				r.profiles[mi].add(profs[k])
 			}
 		}
 	}
@@ -161,8 +212,9 @@ func (r *redactor) buildStates(m *compile.MetaRule, byRule map[*compile.Rule][]*
 // the full set; under sequential semantics (always stripe 0 of 1) dead
 // instantiations are skipped and a completed match kills its targets
 // immediately.
-func (r *redactor) matchMeta(m *compile.MetaRule, states []patState, stripe, strides int, dead map[match.Key]bool) {
+func (r *redactor) matchMeta(m *compile.MetaRule, states []patState, stripe, strides int, dead map[match.Key]bool, prof *MetaRuleProfile) {
 	tuple := make([]*match.Instantiation, len(m.Patterns))
+	env := &metaEnv{tuple: tuple}
 	used := make(map[match.Key]bool, len(m.Patterns))
 	var choose func(i int)
 	choose = func(i int) {
@@ -176,13 +228,11 @@ func (r *redactor) matchMeta(m *compile.MetaRule, states []patState, stripe, str
 					}
 				}
 			}
-			env := metaEnv{tuple: tuple}
-			for _, t := range m.Tests {
-				v, err := r.evalMode.Eval(t, env)
-				if err != nil || !v.Truthy() {
-					return
-				}
+			prof.Tuples++
+			if !metaTestsPass(m, env, r.evalMode, prof) {
+				return
 			}
+			prof.Kills++
 			for _, pi := range m.Redacts {
 				dead[tuple[pi].Key()] = true
 			}
@@ -249,18 +299,33 @@ func metaAlphaPasses(p *compile.InstPattern, in *match.Instantiation) bool {
 	return true
 }
 
-// metaEnv implements compile.Env for meta-rule test evaluation.
+// metaTestsPass evaluates a meta-rule's tests over the tuple env holds,
+// counting each evaluation in prof. A test that errors fails the tuple.
+func metaTestsPass(m *compile.MetaRule, env *metaEnv, mode compile.EvalMode, prof *MetaRuleProfile) bool {
+	for _, t := range m.Tests {
+		prof.Tests++
+		v, err := mode.Eval(t, env)
+		if err != nil || !v.Truthy() {
+			return false
+		}
+	}
+	return true
+}
+
+// metaEnv implements compile.Env for meta-rule test evaluation. It is
+// passed by pointer and reused across tuples, so evaluating a test does
+// not allocate.
 type metaEnv struct {
 	tuple []*match.Instantiation
 }
 
-func (m metaEnv) Ref(compile.VarRef) wm.Value { panic("core: meta test has no object context") }
-func (m metaEnv) Local(int) wm.Value          { panic("core: meta test has no object context") }
-func (m metaEnv) MetaVal(pat int, ref compile.VarRef) wm.Value {
+func (m *metaEnv) Ref(compile.VarRef) wm.Value { panic("core: meta test has no object context") }
+func (m *metaEnv) Local(int) wm.Value          { panic("core: meta test has no object context") }
+func (m *metaEnv) MetaVal(pat int, ref compile.VarRef) wm.Value {
 	return m.tuple[pat].Binding(ref)
 }
-func (m metaEnv) MetaTag(pat int) int64       { return m.tuple[pat].Tag() }
-func (m metaEnv) MetaRuleName(pat int) string { return m.tuple[pat].Rule.Name }
-func (m metaEnv) MetaPrecedes(pat, pat2 int) bool {
+func (m *metaEnv) MetaTag(pat int) int64       { return m.tuple[pat].Tag() }
+func (m *metaEnv) MetaRuleName(pat int) string { return m.tuple[pat].Rule.Name }
+func (m *metaEnv) MetaPrecedes(pat, pat2 int) bool {
 	return m.tuple[pat].Compare(m.tuple[pat2]) < 0
 }

@@ -112,6 +112,7 @@ func (e *Engine) RestoreFired(keys []match.Key) {
 	for _, k := range keys {
 		e.fired[k] = true
 	}
+	e.redact.release() // the eligible set shrank outside the match phase
 }
 
 // CurrentResult returns the cumulative result of all cycles run so far,
