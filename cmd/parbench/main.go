@@ -7,8 +7,7 @@
 //	parbench -quick           small sizes (seconds, for smoke tests)
 //	parbench -json            machine-readable suite run → BENCH_results.json
 //	parbench -json -out f     …written to f instead ("-" for stdout)
-//	parbench -eval interp     run the suite on the tree-walking backend
-//	parbench -evalbench       E13 eval-mode ablation (bytecode VM vs interp)
+//	parbench -evalbench       E13 ablation: bytecode VM vs a reference-compiled program
 //	parbench -evalbench -json …merged into the -out document under "eval"
 //	parbench -serve           single-op vs batched ingest against an in-process server
 //	parbench -serve -json     …merged into the -out document under "serve"
@@ -33,15 +32,13 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"parulel"
 	"parulel/internal/bench"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids (e1..e11, e13, e14) or 'all'")
 	quick := flag.Bool("quick", false, "run reduced problem sizes")
-	evalFlag := flag.String("eval", "bytecode", "expression backend for the -json suite run: bytecode, interp")
-	evalBench := flag.Bool("evalbench", false, "run the E13 eval-mode ablation (bytecode VM vs tree walker) instead of the experiment tables")
+	evalBench := flag.Bool("evalbench", false, "run the E13 expression-backend ablation (bytecode VM vs tree walker) instead of the experiment tables")
 	jsonOut := flag.Bool("json", false, "run the workload suite and write a machine-readable BENCH_*.json document instead of the experiment tables")
 	serve := flag.Bool("serve", false, "benchmark server-level ingest (single-op vs batched) against an in-process paruleld")
 	streamBench := flag.Bool("stream", false, "benchmark continuous temporal ingest (E14) against an in-process paruleld")
@@ -82,12 +79,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "parbench: %v\n", err)
 			}
 		}()
-	}
-
-	evalMode, err := parulel.ParseEvalMode(*evalFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "parbench: %v\n", err)
-		os.Exit(2)
 	}
 
 	if *evalBench {
@@ -203,7 +194,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		doc, err := bench.RunJSON(*quick, evalMode)
+		doc, err := bench.RunJSON(*quick)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "parbench: %v\n", err)
 			os.Exit(1)

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"parulel/internal/compile"
 )
 
 // TestExperimentsRunQuick executes every experiment at quick size and
@@ -93,7 +91,7 @@ func TestMinTimeKeepsFastestRep(t *testing.T) {
 func TestJSONRowPhasesWithinWall(t *testing.T) {
 	for _, spec := range suite(true) {
 		for _, cfg := range jsonConfigs[:2] {
-			r, err := measureRow(spec, cfg, compile.EvalBytecode, 3)
+			r, err := measureRow(spec, cfg, 3)
 			if err != nil {
 				t.Fatalf("%s: %v", spec.name, err)
 			}

@@ -12,28 +12,32 @@ import (
 
 	"parulel/internal/compile"
 	"parulel/internal/core"
+	"parulel/internal/lang"
 	"parulel/internal/match/rete"
 	"parulel/internal/programs"
 	"parulel/internal/wm"
 	"parulel/internal/workload"
 )
 
-// E13 — eval-mode ablation: the bytecode register VM vs the tree-walking
-// interpreter on the expressions of real workloads (waltz's junction
-// arithmetic, circuit's threshold tests, a filter-heavy join chain).
+// E13 — expression-backend ablation: the bytecode register VM vs the
+// tree-walking interpreter on the expressions of real workloads (waltz's
+// junction arithmetic, circuit's threshold tests, a filter-heavy join
+// chain). Each workload is compiled twice: by compile.Compile, whose
+// call-rooted expressions carry bytecode, and by compile.CompileReference,
+// whose expressions all run on the tree walker.
 //
 // Two measurements per workload:
 //
-//   - eval-only: every call expression of the compiled program
+//   - eval-only: every call expression of each compiled program
 //     (alpha/join filters, RHS action expressions, meta tests) evaluated
 //     repeatedly against a deterministic binding environment. Leaf roots
 //     (bare refs and constants) are excluded: lowering leaves them on the
-//     tree walker in both modes by design, so they dilute the measured
+//     tree walker in both programs by design, so they dilute the measured
 //     delta to noise without informing it. This isolates the backend the
 //     ablation changes; the speedup column is the headline number.
-//   - full run: engine wall time under each backend. Match dominates
-//     these workloads, so the end-to-end delta is small by Amdahl —
-//     reported to keep the component number honest.
+//   - full run: engine wall time of each program. Match dominates these
+//     workloads, so the end-to-end delta is small by Amdahl — reported to
+//     keep the component number honest.
 
 // filteredChainProgram is the E4 join chain with a `(test …)` filter on
 // every condition element, so join evaluation exercises the expression
@@ -69,7 +73,7 @@ func (evalBenchEnv) MetaPrecedes(pat, pat2 int) bool { return pat < pat2 }
 
 // collectExprs walks every call expression the compiler lowered:
 // condition filters, RHS action expressions, and meta-rule tests. Leaf
-// roots are skipped — both backends run them through the same tree-walker
+// roots are skipped — both programs run them through the same tree-walker
 // switch arm, so they carry no signal about the ablation.
 func collectExprs(p *compile.Program) []*compile.Expr {
 	var out []*compile.Expr
@@ -97,23 +101,23 @@ func collectExprs(p *compile.Program) []*compile.Expr {
 	return out
 }
 
-// evalPass evaluates every expression once under the given mode,
-// discarding values and errors (both backends agree on both).
-func evalPass(exprs []*compile.Expr, mode compile.EvalMode, env compile.Env) {
+// evalPass evaluates every expression once, discarding values and errors
+// (both backends agree on both).
+func evalPass(exprs []*compile.Expr, env compile.Env) {
 	for _, e := range exprs {
-		mode.Eval(e, env) //nolint:errcheck // timing only
+		compile.Eval(e, env) //nolint:errcheck // timing only
 	}
 }
 
 // evalOnly times `passes` sweeps over the expression set and returns the
 // best per-pass duration.
-func evalOnly(exprs []*compile.Expr, mode compile.EvalMode, passes, reps int) time.Duration {
+func evalOnly(exprs []*compile.Expr, passes, reps int) time.Duration {
 	env := evalBenchEnv{}
 	best := time.Duration(0)
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		for i := 0; i < passes; i++ {
-			evalPass(exprs, mode, env)
+			evalPass(exprs, env)
 		}
 		d := time.Since(start) / time.Duration(passes)
 		if best == 0 || d < best {
@@ -123,11 +127,24 @@ func evalOnly(exprs []*compile.Expr, mode compile.EvalMode, passes, reps int) ti
 	return best
 }
 
-// evalSpec is one E13 workload: a compiled program plus an engine loader.
+// evalSpec is one E13 workload: a parsed program plus an engine loader.
 type evalSpec struct {
 	name string
-	prog func() (*compile.Program, error)
+	ast  func() (*lang.Program, error)
 	load loader
+}
+
+// program compiles the workload to bytecode, or with
+// compile.CompileReference when reference is set.
+func (s evalSpec) program(reference bool) (*compile.Program, error) {
+	ast, err := s.ast()
+	if err != nil {
+		return nil, err
+	}
+	if reference {
+		return compile.CompileReference(ast)
+	}
+	return compile.Compile(ast)
 }
 
 func evalSpecs(quick bool) []evalSpec {
@@ -140,16 +157,16 @@ func evalSpecs(quick bool) []evalSpec {
 	chainSrc := filteredChainProgram(depth)
 	return []evalSpec{
 		{fmt.Sprintf("waltz(%d)", cubes),
-			func() (*compile.Program, error) { return programs.Load(programs.Waltz) },
+			func() (*lang.Program, error) { return programs.AST(programs.Waltz) },
 			func(i workload.Inserter) error { return workload.WaltzScene(i, cubes) }},
 		{fmt.Sprintf("circuit(%dx%d)", cw, cd),
-			func() (*compile.Program, error) { return programs.Load(programs.Circuit) },
+			func() (*lang.Program, error) { return programs.AST(programs.Circuit) },
 			func(i workload.Inserter) error { return workload.GenCircuit(cw, cd, true, 1).Insert(i) }},
 		{fmt.Sprintf("circuit-bus(%dx%d,d%d)", bw, bd, drv),
-			func() (*compile.Program, error) { return programs.Load(programs.Circuit) },
+			func() (*lang.Program, error) { return programs.AST(programs.Circuit) },
 			func(i workload.Inserter) error { return workload.GenBusCircuit(bw, bd, drv, 1).Insert(i) }},
 		{fmt.Sprintf("joinchain(%d)", depth),
-			func() (*compile.Program, error) { return compile.CompileSource(chainSrc) },
+			func() (*lang.Program, error) { return lang.Parse(chainSrc) },
 			func(i workload.Inserter) error {
 				facts := workload.JoinChainFacts(keys, depth, copies, 1)
 				for _, f := range facts {
@@ -162,9 +179,12 @@ func evalSpecs(quick bool) []evalSpec {
 	}
 }
 
-// evalModes orders the ablation: interp is the baseline, bytecode the
-// treatment.
-var evalModes = []compile.EvalMode{compile.EvalInterp, compile.EvalBytecode}
+// evalLegs orders the ablation: the reference program (tree walker) is
+// the baseline, the bytecode program the treatment.
+var evalLegs = []struct {
+	name      string
+	reference bool
+}{{"interp", true}, {"bytecode", false}}
 
 // EvalResult is one workload row of the ablation.
 type EvalResult struct {
@@ -207,15 +227,19 @@ func RunEvalAblation(quick bool) (*EvalDoc, error) {
 		passes, runReps = 400, 5
 	}
 	for _, spec := range evalSpecs(quick) {
-		prog, err := spec.prog()
+		ref, err := spec.program(true)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", spec.name, err)
+		}
+		prog, err := spec.program(false)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.name, err)
 		}
 		exprs := collectExprs(prog)
 		row := EvalResult{Workload: spec.name, Exprs: len(exprs)}
 
-		interpEval := evalOnly(exprs, compile.EvalInterp, passes, reps(quick))
-		bytecodeEval := evalOnly(exprs, compile.EvalBytecode, passes, reps(quick))
+		interpEval := evalOnly(collectExprs(ref), passes, reps(quick))
+		bytecodeEval := evalOnly(exprs, passes, reps(quick))
 		row.InterpEvalNS = interpEval.Nanoseconds()
 		row.BytecodeEvalNS = bytecodeEval.Nanoseconds()
 		if bytecodeEval > 0 {
@@ -224,23 +248,22 @@ func RunEvalAblation(quick bool) (*EvalDoc, error) {
 
 		// Interleave the two backends rep by rep: back-to-back runs see the
 		// same heap, GC debt and scheduler state, so the best-of comparison
-		// is not biased by whichever mode happens to run second.
-		best := map[compile.EvalMode]time.Duration{}
+		// is not biased by whichever leg happens to run second.
+		best := make([]time.Duration, len(evalLegs))
 		var lastRes core.Result
 		for r := 0; r < runReps; r++ {
-			for _, mode := range evalModes {
-				prog, err := spec.prog()
+			for i, leg := range evalLegs {
+				prog, err := spec.program(leg.reference)
 				if err != nil {
-					return nil, fmt.Errorf("%s [%s]: %w", spec.name, mode, err)
+					return nil, fmt.Errorf("%s [%s]: %w", spec.name, leg.name, err)
 				}
 				e := core.New(prog, core.Options{
 					Workers:   4,
 					MaxCycles: 1 << 20,
-					Matcher:   rete.Factory(rete.Options{EvalMode: mode}),
-					EvalMode:  mode,
+					Matcher:   rete.New,
 				})
 				if err := spec.load(e); err != nil {
-					return nil, fmt.Errorf("%s [%s]: %w", spec.name, mode, err)
+					return nil, fmt.Errorf("%s [%s]: %w", spec.name, leg.name, err)
 				}
 				// Settle the heap so collection debt from the previous rep
 				// lands here, not inside an arbitrary timed run.
@@ -248,17 +271,17 @@ func RunEvalAblation(quick bool) (*EvalDoc, error) {
 				start := time.Now()
 				res, err := e.Run()
 				if err != nil {
-					return nil, fmt.Errorf("%s [%s]: %w", spec.name, mode, err)
+					return nil, fmt.Errorf("%s [%s]: %w", spec.name, leg.name, err)
 				}
 				d := time.Since(start)
-				if best[mode] == 0 || d < best[mode] {
-					best[mode] = d
+				if best[i] == 0 || d < best[i] {
+					best[i] = d
 				}
 				lastRes = res
 			}
 		}
-		row.InterpWallNS = best[compile.EvalInterp].Nanoseconds()
-		row.BytecodeWallNS = best[compile.EvalBytecode].Nanoseconds()
+		row.InterpWallNS = best[0].Nanoseconds()
+		row.BytecodeWallNS = best[1].Nanoseconds()
 		row.Cycles, row.Firings = lastRes.Cycles, lastRes.Firings
 		if row.BytecodeWallNS > 0 {
 			row.RunSpeedup = float64(row.InterpWallNS) / float64(row.BytecodeWallNS)

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"parulel/internal/compile"
 	"parulel/internal/core"
 	"parulel/internal/match"
 	"parulel/internal/match/rete"
@@ -76,29 +75,27 @@ type JSONDoc struct {
 	GOARCH      string       `json:"goarch"`
 	NumCPU      int          `json:"num_cpu"`
 	Quick       bool         `json:"quick"`
-	EvalMode    string       `json:"eval_mode"` // expression backend the suite ran with
 	Results     []JSONResult `json:"results"`
 }
 
 // jsonConfig is one engine configuration of the document.
 type jsonConfig struct {
 	matcher string
-	factory func(mode compile.EvalMode) match.Factory
+	factory match.Factory
 	workers int
 }
 
 // jsonConfigs are the engine configurations measured per workload: the
 // worker-scaling axis on RETE plus a TREAT point, mirroring E2/E4.
 var jsonConfigs = []jsonConfig{
-	{"rete", func(m compile.EvalMode) match.Factory { return rete.Factory(rete.Options{EvalMode: m}) }, 1},
-	{"rete", func(m compile.EvalMode) match.Factory { return rete.Factory(rete.Options{EvalMode: m}) }, 2},
-	{"rete", func(m compile.EvalMode) match.Factory { return rete.Factory(rete.Options{EvalMode: m}) }, 4},
-	{"treat", func(m compile.EvalMode) match.Factory { return treat.Factory(treat.Options{EvalMode: m}) }, 4},
+	{"rete", rete.New, 1},
+	{"rete", rete.New, 2},
+	{"rete", rete.New, 4},
+	{"treat", treat.New, 4},
 }
 
-// RunJSON measures the standard workload suite under the given expression
-// backend and returns the document.
-func RunJSON(quick bool, mode compile.EvalMode) (*JSONDoc, error) {
+// RunJSON measures the standard workload suite and returns the document.
+func RunJSON(quick bool) (*JSONDoc, error) {
 	doc := &JSONDoc{
 		Schema:      "parulel-bench/v1",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -107,11 +104,10 @@ func RunJSON(quick bool, mode compile.EvalMode) (*JSONDoc, error) {
 		GOARCH:      runtime.GOARCH,
 		NumCPU:      runtime.NumCPU(),
 		Quick:       quick,
-		EvalMode:    mode.String(),
 	}
 	for _, spec := range suite(quick) {
 		for _, cfg := range jsonConfigs {
-			row, err := measureRow(spec, cfg, mode, reps(quick))
+			row, err := measureRow(spec, cfg, reps(quick))
 			if err != nil {
 				return nil, fmt.Errorf("%s [%s w=%d]: %w", spec.name, cfg.matcher, cfg.workers, err)
 			}
@@ -124,7 +120,7 @@ func RunJSON(quick bool, mode compile.EvalMode) (*JSONDoc, error) {
 // measureRow runs one workload under one configuration reps times and
 // reports the fastest rep. Every figure of the row comes from that rep,
 // so its phases add up to no more than its wall time.
-func measureRow(spec workloadSpec, cfg jsonConfig, mode compile.EvalMode, reps int) (JSONResult, error) {
+func measureRow(spec workloadSpec, cfg jsonConfig, reps int) (JSONResult, error) {
 	// cur is the rep being timed; best the fastest so far.
 	var cur, best struct {
 		e   *core.Engine
@@ -137,9 +133,8 @@ func measureRow(spec workloadSpec, cfg jsonConfig, mode compile.EvalMode, reps i
 		}
 		e := core.New(prog, core.Options{
 			Workers:   cfg.workers,
-			Matcher:   cfg.factory(mode),
+			Matcher:   cfg.factory,
 			MaxCycles: 1 << 20,
-			EvalMode:  mode,
 		})
 		if err := spec.load(e); err != nil {
 			return nil, err

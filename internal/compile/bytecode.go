@@ -2,40 +2,17 @@ package compile
 
 import "parulel/internal/wm"
 
-// EvalMode selects the expression execution backend. The zero value is
-// EvalBytecode: every root expression the compiler emits (alpha/join
-// filters, RHS action expressions, meta-rule predicates) is lowered to
-// register bytecode at program-build time and executed by the VM in vm.go.
-// EvalInterp forces the tree-walking interpreter (Eval), retained as the
-// semantic reference and as the fallback for expressions built outside
-// Compile (which carry no code).
-type EvalMode uint8
-
-// Eval modes.
-const (
-	// EvalBytecode executes lowered register bytecode (the default).
-	EvalBytecode EvalMode = iota
-	// EvalInterp walks the expression tree (the reference interpreter).
-	EvalInterp
-)
-
-// String names the mode for flags, logs and bench output.
-func (m EvalMode) String() string {
-	if m == EvalInterp {
-		return "interp"
-	}
-	return "bytecode"
-}
-
-// Eval evaluates a compiled expression under the mode. Bytecode mode falls
-// back to the tree walker for expressions that were never lowered (hand
-// built, or lowering hit an encoding limit); the two backends agree on
-// values and on error text, so the fallback is invisible to callers.
-func (m EvalMode) Eval(e *Expr, env Env) (wm.Value, error) {
-	if m == EvalBytecode && e.code != nil {
+// Eval evaluates a compiled expression. A root expression that Compile
+// lowered carries bytecode and runs on the VM in vm.go; anything else
+// (sub-expressions, hand-built trees, programs from CompileReference, or
+// roots whose lowering hit an encoding limit) runs on the tree walker.
+// The two backends agree on values and on error text, so which one runs
+// is a property of the compiled program, invisible to callers.
+func Eval(e *Expr, env Env) (wm.Value, error) {
+	if e.code != nil {
 		return e.code.run(env)
 	}
-	return Eval(e, env)
+	return interpret(e, env)
 }
 
 // vmOp is a bytecode opcode. Instructions address up to three operands
@@ -124,7 +101,7 @@ func lowerProgram(p *Program) {
 func lowerExpr(e *Expr) *code {
 	// Leaf roots (constants, references, meta lookups) are a single
 	// switch arm in the tree walker; the VM's register-frame setup can
-	// only lose there, so they keep the interpreter path in both modes.
+	// only lose there, so they stay on the tree walker.
 	if e.Kind != ECall {
 		return nil
 	}

@@ -82,8 +82,8 @@ func (g *exprGen) gen(depth int) *Expr {
 
 // FuzzBytecodeEval holds the bytecode VM to the tree-walking interpreter:
 // for any well-typed expression the two backends must produce the same
-// value, or the same error text. This is the contract that lets bytecode
-// be the default EvalMode with the interpreter as a fallback.
+// value, or the same error text. This is the contract that lets Eval run
+// bytecode when a root carries it and the tree walker otherwise.
 func FuzzBytecodeEval(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 0, 1, 1, 2})                      // (add const const)
 	f.Add([]byte{9, 6, 0, 3, 1, 4, 2, 1, 0})                // cmp over arith
@@ -101,7 +101,7 @@ func FuzzBytecodeEval(f *testing.F) {
 			}
 			t.Fatal("lowerExpr failed on a well-typed call expression")
 		}
-		wantV, wantErr := Eval(e, vmEnv{})
+		wantV, wantErr := interpret(e, vmEnv{})
 		gotV, gotErr := code.run(vmEnv{})
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("error divergence: interp err=%v, vm err=%v", wantErr, gotErr)

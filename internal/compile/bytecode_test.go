@@ -2,8 +2,12 @@ package compile
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"parulel/internal/lang"
 	"parulel/internal/wm"
 )
 
@@ -52,7 +56,7 @@ func agree(t *testing.T, e *Expr) (wm.Value, error) {
 			t.Fatalf("lowerExpr returned nil for %+v", e)
 		}
 	}
-	wantV, wantErr := Eval(e, vmEnv{})
+	wantV, wantErr := interpret(e, vmEnv{})
 	gotV, gotErr := cd.run(vmEnv{})
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("error divergence: interp err=%v, vm err=%v", wantErr, gotErr)
@@ -136,11 +140,9 @@ func TestBytecodeAgreesWithInterp(t *testing.T) {
 	}
 }
 
-// TestCompileAttachesBytecode verifies that every root expression of a
-// compiled program carries lowered code, so bytecode mode never silently
-// interprets compiler output.
-func TestCompileAttachesBytecode(t *testing.T) {
-	prog, err := CompileSource(`
+// bumpSource is a small program whose roots cover filters, bind, modify,
+// write and a meta-rule test.
+const bumpSource = `
 (literalize item id score flag)
 (rule bump
   <x> <- (item ^id <i> ^score <s> ^flag on)
@@ -155,60 +157,112 @@ func TestCompileAttachesBytecode(t *testing.T) {
   (test (precedes <b> <a>))
 -->
   (redact <a>))
-`)
-	if err != nil {
-		t.Fatal(err)
+`
+
+// loweringSources returns every embedded program (read from the
+// programs package's source directory, which this package cannot
+// import) plus bumpSource, keyed by name.
+func loweringSources(t *testing.T) map[string]string {
+	t.Helper()
+	files, err := filepath.Glob("../programs/src/*.par")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no embedded programs found: %v", err)
 	}
-	// Call roots must carry bytecode; leaf roots (plain refs, constants)
-	// deliberately stay on the tree walker, which is already optimal for
-	// a single node.
-	calls, leaves := 0, 0
-	check := func(where string, x *Expr) {
-		if x.Kind == ECall {
-			calls++
-			if x.code == nil {
-				t.Errorf("%s: call expr not lowered", where)
-			}
-		} else {
-			leaves++
-			if x.code != nil {
-				t.Errorf("%s: leaf expr unexpectedly lowered", where)
-			}
+	srcs := map[string]string{"bump": bumpSource}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
 		}
+		srcs[strings.TrimSuffix(filepath.Base(f), ".par")] = string(b)
 	}
+	return srcs
+}
+
+// forEachRoot calls fn on every root expression of prog — the filters,
+// action expressions and meta tests that lowerProgram visits.
+func forEachRoot(prog *Program, fn func(where string, x *Expr)) {
 	for _, r := range prog.Rules {
 		for _, ce := range r.CEs {
 			for _, f := range ce.Filters {
-				check("rule "+r.Name+" filter", f)
+				fn("rule "+r.Name+" filter", f)
 			}
 		}
 		for _, a := range r.Actions {
 			for j := range a.Slots {
-				check("rule "+r.Name+" slot", a.Slots[j].Expr)
+				fn("rule "+r.Name+" slot", a.Slots[j].Expr)
 			}
 			for _, x := range a.Exprs {
-				check("rule "+r.Name+" action", x)
+				fn("rule "+r.Name+" action", x)
 			}
 		}
 	}
 	for _, m := range prog.MetaRules {
 		for _, x := range m.Tests {
-			check("metarule "+m.Name+" test", x)
+			fn("metarule "+m.Name+" test", x)
 		}
-	}
-	if calls == 0 {
-		t.Fatal("no call expressions found — the program under test is wrong")
 	}
 }
 
-func TestEvalModeFallsBackWithoutCode(t *testing.T) {
+// TestCompileAttachesBytecode verifies, over every embedded program, that
+// Compile lowers every call-rooted expression, so a run never silently
+// interprets compiler output. Leaf roots (plain refs, constants)
+// deliberately stay on the tree walker, which is already optimal for a
+// single node.
+func TestCompileAttachesBytecode(t *testing.T) {
+	for name, src := range loweringSources(t) {
+		prog, err := CompileSource(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		calls := 0
+		forEachRoot(prog, func(where string, x *Expr) {
+			if x.Kind == ECall {
+				calls++
+				if x.code == nil {
+					t.Errorf("%s: %s: call expr not lowered", name, where)
+				}
+			} else if x.code != nil {
+				t.Errorf("%s: %s: leaf expr unexpectedly lowered", name, where)
+			}
+		})
+		if calls == 0 {
+			t.Errorf("%s: no call expressions found", name)
+		}
+	}
+}
+
+// TestCompileReferenceCarriesNoBytecode verifies, over every embedded
+// program, that CompileReference leaves every root on the tree walker,
+// so the reference half of a differential test never runs the VM.
+func TestCompileReferenceCarriesNoBytecode(t *testing.T) {
+	for name, src := range loweringSources(t) {
+		ast, err := lang.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		prog, err := CompileReference(ast)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		roots := 0
+		forEachRoot(prog, func(where string, x *Expr) {
+			roots++
+			if x.code != nil {
+				t.Errorf("%s: %s: reference expr carries bytecode", name, where)
+			}
+		})
+		if roots == 0 {
+			t.Errorf("%s: no root expressions found", name)
+		}
+	}
+}
+
+func TestEvalFallsBackWithoutCode(t *testing.T) {
 	e := call(BAdd, c(wm.Int(2)), c(wm.Int(3))) // hand-built: no code attached
-	v, err := EvalBytecode.Eval(e, vmEnv{})
+	v, err := Eval(e, vmEnv{})
 	if err != nil || v != wm.Int(5) {
 		t.Fatalf("fallback eval = %v, %v; want 5", v, err)
-	}
-	if EvalBytecode.String() != "bytecode" || EvalInterp.String() != "interp" {
-		t.Fatalf("mode names: %q, %q", EvalBytecode, EvalInterp)
 	}
 }
 
@@ -226,7 +280,7 @@ func BenchmarkEvalExpr(b *testing.B) {
 	b.Run("interp", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Eval(e, vmEnv{}); err != nil {
+			if _, err := interpret(e, vmEnv{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -19,8 +19,22 @@ func cerrf(pos lang.Pos, format string, args ...any) *CompileError {
 	return &CompileError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Compile performs semantic analysis of a parsed program.
+// Compile performs semantic analysis of a parsed program and lowers every
+// call-rooted expression to bytecode.
 func Compile(src *lang.Program) (*Program, error) {
+	p, err := CompileReference(src)
+	if err != nil {
+		return nil, err
+	}
+	lowerProgram(p)
+	return p, nil
+}
+
+// CompileReference compiles a program like Compile but leaves every
+// expression on the tree walker. It is the reference the bytecode VM is
+// tested against: a run of the reference program must match a run of the
+// Compile output fact for fact.
+func CompileReference(src *lang.Program) (*Program, error) {
 	p := &Program{
 		Schema: wm.NewSchema(),
 		byName: make(map[string]*Rule),
@@ -78,7 +92,6 @@ func Compile(src *lang.Program) (*Program, error) {
 		m.Index = len(p.MetaRules)
 		p.MetaRules = append(p.MetaRules, m)
 	}
-	lowerProgram(p)
 	return p, nil
 }
 

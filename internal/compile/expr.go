@@ -79,7 +79,7 @@ type Expr struct {
 	// code is the lowered bytecode for this expression when it is a root
 	// (a filter, action expression or meta test), attached once by
 	// lowerProgram at the end of Compile. nil means "not lowered":
-	// EvalMode.Eval then falls back to the tree walker.
+	// Eval then falls back to the tree walker.
 	code *code
 }
 
@@ -114,8 +114,9 @@ type EvalError struct {
 
 func (e *EvalError) Error() string { return fmt.Sprintf("eval %s: %s", e.Op, e.Msg) }
 
-// Eval evaluates a compiled expression.
-func Eval(e *Expr, env Env) (wm.Value, error) {
+// interpret evaluates an expression by walking its tree: the reference
+// semantics the bytecode VM is held to.
+func interpret(e *Expr, env Env) (wm.Value, error) {
 	switch e.Kind {
 	case EConst:
 		return e.Val, nil
@@ -143,7 +144,7 @@ func evalCall(e *Expr, env Env) (wm.Value, error) {
 	switch e.Op {
 	case BAnd:
 		for _, a := range e.Args {
-			v, err := Eval(a, env)
+			v, err := interpret(a, env)
 			if err != nil {
 				return wm.Value{}, err
 			}
@@ -154,7 +155,7 @@ func evalCall(e *Expr, env Env) (wm.Value, error) {
 		return wm.Bool(true), nil
 	case BOr:
 		for _, a := range e.Args {
-			v, err := Eval(a, env)
+			v, err := interpret(a, env)
 			if err != nil {
 				return wm.Value{}, err
 			}
@@ -168,19 +169,19 @@ func evalCall(e *Expr, env Env) (wm.Value, error) {
 	case BTabto:
 		return wm.Str("\t"), nil
 	case BIf:
-		cond, err := Eval(e.Args[0], env)
+		cond, err := interpret(e.Args[0], env)
 		if err != nil {
 			return wm.Value{}, err
 		}
 		if cond.Truthy() {
-			return Eval(e.Args[1], env)
+			return interpret(e.Args[1], env)
 		}
-		return Eval(e.Args[2], env)
+		return interpret(e.Args[2], env)
 	}
 
 	args := make([]wm.Value, len(e.Args))
 	for i, a := range e.Args {
-		v, err := Eval(a, env)
+		v, err := interpret(a, env)
 		if err != nil {
 			return wm.Value{}, err
 		}

@@ -9,6 +9,7 @@ import (
 
 	"parulel/internal/compile"
 	"parulel/internal/core"
+	"parulel/internal/lang"
 	"parulel/internal/match"
 	"parulel/internal/match/rete"
 	"parulel/internal/match/treat"
@@ -17,24 +18,47 @@ import (
 	"parulel/internal/workload"
 )
 
+// gridConfig is one point of the differential grid: a matcher and
+// whether the program is built by compile.CompileReference, which leaves
+// every expression on the tree walker instead of the bytecode VM.
+type gridConfig struct {
+	name      string
+	factory   match.Factory
+	reference bool
+}
+
+// program compiles src for the configuration.
+func (c gridConfig) program(t *testing.T, src string) *compile.Program {
+	t.Helper()
+	compileFn := compile.Compile
+	if c.reference {
+		compileFn = compile.CompileReference
+	}
+	ast, err := lang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := compileFn(ast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
 // matcherConfigs is the {RETE, TREAT} × {index on, index off} ×
-// {bytecode, interp} grid the differential tests sweep. Results must be
-// bit-identical across all eight: the hash-join indexes, the compact
+// {bytecode, reference} grid the differential tests sweep. Results must
+// be bit-identical across all eight: the hash-join indexes, the compact
 // instantiation keys and the bytecode compilation of expressions are
 // pure optimizations.
-var matcherConfigs = []struct {
-	name    string
-	factory match.Factory
-	eval    compile.EvalMode
-}{
-	{"rete-indexed-bytecode", rete.Factory(rete.Options{}), compile.EvalBytecode},
-	{"rete-indexed-interp", rete.Factory(rete.Options{EvalMode: compile.EvalInterp}), compile.EvalInterp},
-	{"rete-noindex-bytecode", rete.Factory(rete.Options{DisableJoinIndex: true}), compile.EvalBytecode},
-	{"rete-noindex-interp", rete.Factory(rete.Options{DisableJoinIndex: true, EvalMode: compile.EvalInterp}), compile.EvalInterp},
-	{"treat-indexed-bytecode", treat.Factory(treat.Options{}), compile.EvalBytecode},
-	{"treat-indexed-interp", treat.Factory(treat.Options{EvalMode: compile.EvalInterp}), compile.EvalInterp},
-	{"treat-noindex-bytecode", treat.Factory(treat.Options{DisableJoinIndex: true}), compile.EvalBytecode},
-	{"treat-noindex-interp", treat.Factory(treat.Options{DisableJoinIndex: true, EvalMode: compile.EvalInterp}), compile.EvalInterp},
+var matcherConfigs = []gridConfig{
+	{"rete-indexed-bytecode", rete.Factory(rete.Options{}), false},
+	{"rete-indexed-reference", rete.Factory(rete.Options{}), true},
+	{"rete-noindex-bytecode", rete.Factory(rete.Options{DisableJoinIndex: true}), false},
+	{"rete-noindex-reference", rete.Factory(rete.Options{DisableJoinIndex: true}), true},
+	{"treat-indexed-bytecode", treat.Factory(treat.Options{}), false},
+	{"treat-indexed-reference", treat.Factory(treat.Options{}), true},
+	{"treat-noindex-bytecode", treat.Factory(treat.Options{DisableJoinIndex: true}), false},
+	{"treat-noindex-reference", treat.Factory(treat.Options{DisableJoinIndex: true}), true},
 }
 
 // firingTracer records the per-cycle rule-firing sequence (RuleFired
@@ -62,12 +86,17 @@ type outcome struct {
 	firing                                 []string // "cycle:rule:count" sequence
 }
 
-// runOutcome runs prog to quiescence on workers workers with the given
-// matcher and eval backend, using the from-scratch redactor if asked.
-func runOutcome(t *testing.T, prog *compile.Program, load func(workload.Inserter) error, f match.Factory, mode compile.EvalMode, workers int, fromScratch bool) outcome {
+// runOutcome runs the named embedded program to quiescence on workers
+// workers under one grid configuration, using the from-scratch redactor
+// if asked.
+func runOutcome(t *testing.T, name string, load func(workload.Inserter) error, cfg gridConfig, workers int, fromScratch bool) outcome {
 	t.Helper()
+	src, err := programs.Source(name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := &firingTracer{}
-	e := core.New(prog, core.Options{Workers: workers, MaxCycles: 1 << 20, Matcher: f, EvalMode: mode, Tracer: tr})
+	e := core.New(cfg.program(t, src), core.Options{Workers: workers, MaxCycles: 1 << 20, Matcher: cfg.factory, Tracer: tr})
 	if fromScratch {
 		core.UseFromScratchRedaction(e)
 	}
@@ -130,13 +159,9 @@ func TestMatcherDifferentialEmbeddedPrograms(t *testing.T) {
 	for _, tc := range embeddedCases {
 		tc := tc
 		t.Run(tc.prog, func(t *testing.T) {
-			prog, err := programs.Load(tc.prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := runOutcome(t, prog, tc.load, matcherConfigs[0].factory, matcherConfigs[0].eval, 2, false)
+			base := runOutcome(t, tc.prog, tc.load, matcherConfigs[0], 2, false)
 			for _, cfg := range matcherConfigs[1:] {
-				diffOutcomes(t, cfg.name, base, runOutcome(t, prog, tc.load, cfg.factory, cfg.eval, 2, false))
+				diffOutcomes(t, cfg.name, base, runOutcome(t, tc.prog, tc.load, cfg, 2, false))
 			}
 		})
 	}
@@ -171,14 +196,10 @@ func TestIncrementalRedactionMatchesFromScratch(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.prog, func(t *testing.T) {
-			prog, err := programs.Load(tc.prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := runOutcome(t, prog, tc.load, matcherConfigs[0].factory, matcherConfigs[0].eval, 1, true)
+			ref := runOutcome(t, tc.prog, tc.load, matcherConfigs[0], 1, true)
 			for _, cfg := range matcherConfigs {
 				for _, workers := range []int{1, 2, 4} {
-					got := runOutcome(t, prog, tc.load, cfg.factory, cfg.eval, workers, false)
+					got := runOutcome(t, tc.prog, tc.load, cfg, workers, false)
 					diffOutcomes(t, fmt.Sprintf("%s w=%d", cfg.name, workers), ref, got)
 				}
 			}
@@ -210,26 +231,27 @@ func TestMatcherDifferentialGeneratedJoinChains(t *testing.T) {
 	for _, depth := range []int{2, 4, 6} {
 		depth := depth
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
-			prog, err := compile.CompileSource(filteredJoinChain(depth))
-			if err != nil {
-				t.Fatal(err)
-			}
 			facts := workload.JoinChainFacts(10, depth, 2, 1)
-			tmpl := prog.Schema.MustLookup("rec")
 
 			// Drive the matchers directly (the join-chain program has no
 			// actions): build up, then churn, comparing conflict sets after
-			// every delta.
-			mem := wm.NewMemory(prog.Schema)
-			ms := make([]match.Matcher, len(matcherConfigs))
+			// every delta. Each configuration compiles its own program, so
+			// each gets its own memory; identical histories give identical
+			// time tags and so comparable instantiation keys.
+			runs := make([]*chainRun, len(matcherConfigs))
 			for i, cfg := range matcherConfigs {
-				ms[i] = cfg.factory(prog.Rules)
+				prog := cfg.program(t, filteredJoinChain(depth))
+				runs[i] = &chainRun{
+					mem:  wm.NewMemory(prog.Schema),
+					tmpl: prog.Schema.MustLookup("rec"),
+					m:    cfg.factory(prog.Rules),
+				}
 			}
 			check := func(step string) {
 				t.Helper()
-				base := matchtestKeys(ms[0].ConflictSet())
-				for i, m := range ms[1:] {
-					got := matchtestKeys(m.ConflictSet())
+				base := matchtestKeys(runs[0].m.ConflictSet())
+				for i, r := range runs[1:] {
+					got := matchtestKeys(r.m.ConflictSet())
 					if len(base) != len(got) {
 						t.Fatalf("%s: %s: conflict set size %d, want %d",
 							step, matcherConfigs[i+1].name, len(got), len(base))
@@ -242,37 +264,42 @@ func TestMatcherDifferentialGeneratedJoinChains(t *testing.T) {
 					}
 				}
 			}
-			apply := func(d wm.Delta) {
-				for _, m := range ms {
-					m.Apply(d)
-				}
-			}
-
-			wmes := make([]*wm.WME, 0, len(facts))
 			for k, fields := range facts {
-				vec := make([]wm.Value, tmpl.Arity())
-				for attr, v := range fields {
-					idx, _ := tmpl.AttrIndex(attr)
-					vec[idx] = v
+				for _, r := range runs {
+					vec := make([]wm.Value, r.tmpl.Arity())
+					for attr, v := range fields {
+						idx, _ := r.tmpl.AttrIndex(attr)
+						vec[idx] = v
+					}
+					w := r.mem.InsertFields(r.tmpl, vec)
+					r.wmes = append(r.wmes, w)
+					r.m.Apply(wm.Delta{Added: []*wm.WME{w}})
 				}
-				w := mem.InsertFields(tmpl, vec)
-				wmes = append(wmes, w)
-				apply(wm.Delta{Added: []*wm.WME{w}})
 				if k%13 == 0 {
 					check(fmt.Sprintf("build %d", k))
 				}
 			}
 			check("built")
-			for i := 0; i < len(wmes); i += 5 {
-				old := wmes[i]
-				mem.Remove(old.Time)
-				nw := mem.InsertFields(old.Tmpl, old.Fields)
-				apply(wm.Delta{Removed: []*wm.WME{old}, Added: []*wm.WME{nw}})
-				wmes[i] = nw
+			for i := 0; i < len(facts); i += 5 {
+				for _, r := range runs {
+					old := r.wmes[i]
+					r.mem.Remove(old.Time)
+					nw := r.mem.InsertFields(old.Tmpl, old.Fields)
+					r.m.Apply(wm.Delta{Removed: []*wm.WME{old}, Added: []*wm.WME{nw}})
+					r.wmes[i] = nw
+				}
 				check(fmt.Sprintf("churn %d", i))
 			}
 		})
 	}
+}
+
+// chainRun is one grid configuration's matcher over its own memory.
+type chainRun struct {
+	mem  *wm.Memory
+	tmpl *wm.Template
+	m    match.Matcher
+	wmes []*wm.WME
 }
 
 func matchtestKeys(ins []*match.Instantiation) []string {

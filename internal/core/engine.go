@@ -71,12 +71,6 @@ type Options struct {
 	// during checkpoint recovery, where the restored working memory
 	// already contains them (under their original time tags).
 	NoInitialFacts bool
-	// EvalMode selects the expression backend for RHS actions and
-	// meta-rule predicates: the bytecode VM (the zero value, the default)
-	// or the tree-walking interpreter (compile.EvalInterp). The matchers
-	// carry their own copy via rete.Options/treat.Options — set both from
-	// the same flag (the facade's Config.EvalMode does).
-	EvalMode compile.EvalMode
 }
 
 // Partition is a rule-to-worker distribution strategy.
@@ -236,7 +230,7 @@ func New(prog *compile.Program, opts Options) *Engine {
 		opts:        opts,
 		conflictSet: make(map[match.Key]*redEntry),
 		fired:       make(map[match.Key]bool),
-		redact:      newRedactor(prog.MetaRules, opts.Workers, opts.DisableRedactionIndex, opts.SequentialRedaction, opts.EvalMode),
+		redact:      newRedactor(prog.MetaRules, opts.Workers, opts.DisableRedactionIndex, opts.SequentialRedaction),
 		result:      Result{Stats: &stats.Run{}},
 		activity:    make(map[string]int),
 		fires:       make(map[string]int),

@@ -618,7 +618,7 @@ func (w *incWorker) fill(s int, prof *MetaRuleProfile) {
 			return // every target is leaving too: no count to take from
 		}
 		prof.Tuples++
-		if !metaTestsPass(w.mp.meta, &w.env, w.r.evalMode, prof) {
+		if !metaTestsPass(w.mp.meta, &w.env, prof) {
 			return
 		}
 		if w.sign > 0 {

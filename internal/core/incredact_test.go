@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"parulel/internal/compile"
+	"parulel/internal/lang"
 	"parulel/internal/match"
 	"parulel/internal/programs"
 	"parulel/internal/wm"
@@ -71,31 +72,47 @@ const syntheticMetaSrc = `
 
 // fuzzPrograms are the programs FuzzIncrementalRedaction draws from:
 // every embedded program that has meta-rules, then the synthetic one.
-func fuzzPrograms(tb testing.TB) []*compile.Program {
+// refs holds the same programs built by compile.CompileReference, so
+// their meta tests run on the tree walker instead of the bytecode VM.
+func fuzzPrograms(tb testing.TB) (progs, refs []*compile.Program) {
 	tb.Helper()
-	var out []*compile.Program
+	var srcs []string
 	for _, name := range programs.All() {
-		p, err := programs.Load(name)
+		src, err := programs.Source(name)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if len(p.MetaRules) > 0 {
-			out = append(out, p)
+		srcs = append(srcs, src)
+	}
+	for _, src := range append(srcs, syntheticMetaSrc) {
+		p, err := compile.CompileSource(src)
+		if err != nil {
+			tb.Fatal(err)
 		}
+		if len(p.MetaRules) == 0 {
+			continue
+		}
+		ast, err := lang.Parse(src)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ref, err := compile.CompileReference(ast)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		progs, refs = append(progs, p), append(refs, ref)
 	}
-	p, err := compile.CompileSource(syntheticMetaSrc)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return append(out, p)
+	return progs, refs
 }
 
 // FuzzIncrementalRedaction drives the incremental redactor the way the
 // engine does — seeded batches of arriving and leaving instantiations,
 // and firing the survivors — and after every step requires its survivors
-// to equal the from-scratch redactor's on the same eligible set.
+// to equal the from-scratch redactor's on the same eligible set. Odd
+// seeds run the reference-compiled program, so both expression backends
+// are covered.
 func FuzzIncrementalRedaction(f *testing.F) {
-	progs := fuzzPrograms(f)
+	progs, refs := fuzzPrograms(f)
 	for i := range progs {
 		f.Add(uint8(i), int64(i), []byte{0, 4, 8, 3, 1, 2, 6, 3, 0, 10, 7, 3})
 		// 0xfc is a bulk arrival, which stripes across workers.
@@ -106,7 +123,11 @@ func FuzzIncrementalRedaction(f *testing.F) {
 		if len(ops) > 48 {
 			ops = ops[:48]
 		}
-		checkIncrementalRedaction(t, progs[int(pi)%len(progs)], seed, ops)
+		prog := progs[int(pi)%len(progs)]
+		if seed%2 != 0 {
+			prog = refs[int(pi)%len(refs)]
+		}
+		checkIncrementalRedaction(t, prog, seed, ops)
 	})
 }
 
@@ -118,12 +139,8 @@ const maxFuzzEligible = 160
 // batch), 2 removes eligible ones, 3 fires the last survivors.
 func checkIncrementalRedaction(t *testing.T, prog *compile.Program, seed int64, ops []byte) {
 	rng := rand.New(rand.NewSource(seed))
-	mode := compile.EvalBytecode
-	if seed%2 != 0 {
-		mode = compile.EvalInterp
-	}
-	inc := newRedactor(prog.MetaRules, 1+int(uint64(seed)%3), false, false, mode)
-	ref := newRedactor(prog.MetaRules, 1, false, false, mode)
+	inc := newRedactor(prog.MetaRules, 1+int(uint64(seed)%3), false, false)
+	ref := newRedactor(prog.MetaRules, 1, false, false)
 	var rules []*compile.Rule
 	for _, m := range prog.MetaRules {
 		for _, p := range m.Patterns {
@@ -229,7 +246,7 @@ func TestMetaTestEvalDoesNotAllocate(t *testing.T) {
 	}
 	env := &metaEnv{tuple: []*match.Instantiation{inst(1, 1), inst(1, 1)}}
 	var prof MetaRuleProfile
-	if n := testing.AllocsPerRun(1000, func() { metaTestsPass(m, env, compile.EvalBytecode, &prof) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { metaTestsPass(m, env, &prof) }); n != 0 {
 		t.Errorf("%v allocations per meta-test evaluation, want 0", n)
 	}
 	if prof.Tests == 0 {

@@ -51,8 +51,6 @@ type redactor struct {
 	// justify redacting the other both die); sequential semantics keeps
 	// the first and spares everything it dominates transitively.
 	sequential bool
-	// evalMode is the backend for meta-rule test expressions.
-	evalMode compile.EvalMode
 	// profiles counts, per meta-rule, the work of every pass so far.
 	profiles []MetaRuleProfile
 
@@ -66,11 +64,11 @@ type redactor struct {
 	live *incState
 }
 
-func newRedactor(metas []*compile.MetaRule, workers int, noIndex, sequential bool, evalMode compile.EvalMode) *redactor {
+func newRedactor(metas []*compile.MetaRule, workers int, noIndex, sequential bool) *redactor {
 	if workers < 1 {
 		workers = 1
 	}
-	r := &redactor{metas: metas, workers: workers, noIndex: noIndex, sequential: sequential, evalMode: evalMode}
+	r := &redactor{metas: metas, workers: workers, noIndex: noIndex, sequential: sequential}
 	r.profiles = make([]MetaRuleProfile, len(metas))
 	for i, m := range metas {
 		r.profiles[i].MetaRule = m.Name
@@ -229,7 +227,7 @@ func (r *redactor) matchMeta(m *compile.MetaRule, states []patState, stripe, str
 				}
 			}
 			prof.Tuples++
-			if !metaTestsPass(m, env, r.evalMode, prof) {
+			if !metaTestsPass(m, env, prof) {
 				return
 			}
 			prof.Kills++
@@ -301,10 +299,10 @@ func metaAlphaPasses(p *compile.InstPattern, in *match.Instantiation) bool {
 
 // metaTestsPass evaluates a meta-rule's tests over the tuple env holds,
 // counting each evaluation in prof. A test that errors fails the tuple.
-func metaTestsPass(m *compile.MetaRule, env *metaEnv, mode compile.EvalMode, prof *MetaRuleProfile) bool {
+func metaTestsPass(m *compile.MetaRule, env *metaEnv, prof *MetaRuleProfile) bool {
 	for _, t := range m.Tests {
 		prof.Tests++
-		v, err := mode.Eval(t, env)
+		v, err := compile.Eval(t, env)
 		if err != nil || !v.Truthy() {
 			return false
 		}

@@ -98,10 +98,14 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.BaseURLs) == 0 {
-		c.BaseURLs = []string{c.BaseURL}
+	urls := c.BaseURLs
+	if len(urls) == 0 {
+		urls = []string{c.BaseURL}
 	}
-	for i, b := range c.BaseURLs {
+	// Trim into a fresh slice: Config is passed by value, but its
+	// BaseURLs still share the caller's backing array.
+	c.BaseURLs = make([]string, len(urls))
+	for i, b := range urls {
 		c.BaseURLs[i] = strings.TrimSuffix(b, "/")
 	}
 	if c.Sessions <= 0 {

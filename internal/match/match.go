@@ -254,18 +254,17 @@ func (e EvalEnv) MetaRuleName(int) string { panic("match: not a meta context") }
 // MetaPrecedes panics: LHS tests have no meta context.
 func (e EvalEnv) MetaPrecedes(int, int) bool { panic("match: not a meta context") }
 
-// EvalFilters evaluates a CE's filter expressions against a WME vector
-// under the given execution mode (bytecode VM or tree walker). A filter
+// EvalFilters evaluates a CE's filter expressions against a WME vector. A filter
 // that errors at runtime (e.g. comparing incompatible values fed by a
 // weakly constrained pattern) counts as a failed test, matching OPS5
 // practice of treating predicate failure as no-match.
-func EvalFilters(ce *compile.CondElem, vec []*wm.WME, mode compile.EvalMode) bool {
+func EvalFilters(ce *compile.CondElem, vec []*wm.WME) bool {
 	if len(ce.Filters) == 0 {
 		return true
 	}
 	env := EvalEnv{Vec: vec}
 	for _, f := range ce.Filters {
-		v, err := mode.Eval(f, env)
+		v, err := compile.Eval(f, env)
 		if err != nil || !v.Truthy() {
 			return false
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"parulel/internal/compile"
+	"parulel/internal/lang"
 	"parulel/internal/match"
 	"parulel/internal/wm"
 )
@@ -106,6 +107,22 @@ func Compiled(t testing.TB, name string) *compile.Program {
 		t.Fatalf("matchtest: unknown program %q", name)
 	}
 	p, err := compile.CompileSource(src)
+	if err != nil {
+		t.Fatalf("matchtest: compile %s: %v", name, err)
+	}
+	return p
+}
+
+// reference compiles a named program with compile.CompileReference, so
+// the brute-force oracle evaluates filters on the tree walker while the
+// matchers under test run the bytecode of Compiled.
+func reference(t testing.TB, name string) *compile.Program {
+	t.Helper()
+	ast, err := lang.Parse(Programs[name])
+	if err != nil {
+		t.Fatalf("matchtest: parse %s: %v", name, err)
+	}
+	p, err := compile.CompileReference(ast)
 	if err != nil {
 		t.Fatalf("matchtest: compile %s: %v", name, err)
 	}
@@ -255,11 +272,15 @@ var Generators = map[string]func(r *rand.Rand) (string, map[string]wm.Value){
 }
 
 // naiveConflictSet computes the ground-truth conflict set of a program
-// over a memory snapshot by brute-force enumeration.
-func naiveConflictSet(prog *compile.Program, mem *wm.Memory) map[string]bool {
+// over a memory snapshot by brute-force enumeration. Filters are taken
+// from ref, the same program built by compile.CompileReference, so they
+// run on the tree walker: conformance runs then compare the matchers'
+// bytecode path against an independent backend.
+func naiveConflictSet(prog, ref *compile.Program, mem *wm.Memory) map[string]bool {
 	out := make(map[string]bool)
 	snap := mem.Snapshot()
-	for _, rule := range prog.Rules {
+	for ri, rule := range prog.Rules {
+		refCEs := ref.Rules[ri].CEs
 		vec := make([]*wm.WME, rule.NumPositive)
 		var walk func(ceIdx int) // emits into out
 		walk = func(ceIdx int) {
@@ -292,10 +313,7 @@ func naiveConflictSet(prog *compile.Program, mem *wm.Memory) map[string]bool {
 					continue
 				}
 				vec[ce.PosIndex] = w
-				// The oracle deliberately stays on the tree-walking
-				// interpreter, so conformance runs compare the matchers'
-				// bytecode path against an independent backend.
-				if match.EvalFilters(ce, vec[:ce.PosIndex+1], compile.EvalInterp) {
+				if match.EvalFilters(refCEs[ceIdx], vec[:ce.PosIndex+1]) {
 					walk(ceIdx + 1)
 				}
 				vec[ce.PosIndex] = nil
@@ -322,14 +340,14 @@ func RunConformance(t *testing.T, factory match.Factory) {
 	for name := range Programs {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			prog := Compiled(t, name)
+			prog, ref := Compiled(t, name), reference(t, name)
 			gen := Generators[name]
 			for seed := int64(1); seed <= 5; seed++ {
 				d := NewDriver(prog, seed, factory)
 				for step := 0; step < 120; step++ {
 					d.Step(gen)
 					got := Keys(d.Matchers[0].ConflictSet())
-					want := naiveConflictSet(prog, d.Mem)
+					want := naiveConflictSet(prog, ref, d.Mem)
 					if len(got) != len(want) {
 						t.Fatalf("seed %d step %d: conflict set size %d, ground truth %d\ngot: %v",
 							seed, step, len(got), len(want), got)

@@ -23,11 +23,6 @@ type Options struct {
 	// activation. The activity counters (tokens, probes, instantiations)
 	// are maintained regardless; Profile only gates the timing.
 	Profile bool
-	// EvalMode selects the filter-expression backend: the bytecode VM
-	// (the zero value, the default) or the tree-walking interpreter
-	// (compile.EvalInterp, the reference semantics and the E13 ablation
-	// baseline).
-	EvalMode compile.EvalMode
 }
 
 // ruleProf accumulates one rule's match-layer activity. Every beta-layer

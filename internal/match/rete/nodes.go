@@ -260,7 +260,7 @@ func (j *joinNode) passes(t *token, w *wm.WME) bool {
 		// Filters need the vector including this WME; reuse the node's
 		// scratch buffer rather than allocating per candidate.
 		j.scratch = append(append(j.scratch[:0], t.vec...), w)
-		return match.EvalFilters(j.ce, j.scratch, j.net.opts.EvalMode)
+		return match.EvalFilters(j.ce, j.scratch)
 	}
 	return true
 }

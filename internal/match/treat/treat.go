@@ -42,11 +42,6 @@ type Options struct {
 	// The activity counters (tokens, probes, instantiations) are
 	// maintained regardless; Profile only gates the timing.
 	Profile bool
-	// EvalMode selects the filter-expression backend: the bytecode VM
-	// (the zero value, the default) or the tree-walking interpreter
-	// (compile.EvalInterp, the reference semantics and the E13 ablation
-	// baseline).
-	EvalMode compile.EvalMode
 }
 
 // ruleProf accumulates one rule's match-layer activity.
@@ -73,8 +68,6 @@ type Treat struct {
 	// profile gates per-rule match-time attribution (the counters inside
 	// each ruleState's prof are always maintained).
 	profile bool
-	// evalMode is the filter-expression backend (Options.EvalMode).
-	evalMode compile.EvalMode
 }
 
 var _ match.Matcher = (*Treat)(nil)
@@ -113,7 +106,6 @@ func NewWithOptions(rules []*compile.Rule, opts Options) match.Matcher {
 		byWME:       make(map[*wm.WME]map[match.Key]*match.Instantiation),
 		coll:        match.NewChangeCollector(),
 		profile:     opts.Profile,
-		evalMode:    opts.EvalMode,
 	}
 	for _, r := range rules {
 		rs := &ruleState{
@@ -414,7 +406,7 @@ func (t *Treat) joinFrom(rs *ruleState, ceIdx int, vec []*wm.WME, seedPos int, s
 			}
 		}
 		vec[p] = w
-		if match.EvalFilters(ce, vec[:p+1], t.evalMode) {
+		if match.EvalFilters(ce, vec[:p+1]) {
 			rs.prof.tokens++
 			t.joinFrom(rs, ceIdx+1, vec, seedPos, seed, negSeed)
 		}

@@ -189,18 +189,6 @@ const (
 	TREAT
 )
 
-// EvalMode selects the expression-evaluation backend used for alpha
-// tests, join filters, RHS actions and meta-rule tests. The bytecode
-// register VM is the default; the tree-walking interpreter remains as
-// the reference backend (experiment E13 compares the two).
-type EvalMode = compile.EvalMode
-
-// Evaluation backends.
-const (
-	EvalBytecode = compile.EvalBytecode
-	EvalInterp   = compile.EvalInterp
-)
-
 // Partition selects the rule-to-worker distribution strategy (PARULEL
 // engine): core semantics are unaffected, only load balance changes.
 type Partition = core.Partition
@@ -235,15 +223,13 @@ type Config struct {
 	// SequentialRedaction selects the sequential redaction semantics
 	// (PARULEL only); see docs/LANGUAGE.md §5.
 	SequentialRedaction bool
-	// EvalMode selects the expression backend (bytecode VM by default).
-	EvalMode EvalMode
 }
 
 func (c Config) factory() match.Factory {
 	if c.Matcher == TREAT {
-		return treat.Factory(treat.Options{EvalMode: c.EvalMode})
+		return treat.New
 	}
-	return rete.Factory(rete.Options{EvalMode: c.EvalMode})
+	return rete.New
 }
 
 // Result summarizes a run.
@@ -277,7 +263,6 @@ func NewEngine(p *Program, cfg Config) *Engine {
 			Matcher:   cfg.factory(),
 			Output:    cfg.Output,
 			MaxCycles: cfg.MaxCycles,
-			EvalMode:  cfg.EvalMode,
 		})}
 	default:
 		return &Engine{par: core.New(p.compiled, core.Options{
@@ -289,7 +274,6 @@ func NewEngine(p *Program, cfg Config) *Engine {
 			Tracer:              cfg.Tracer,
 			Partition:           cfg.Partition,
 			SequentialRedaction: cfg.SequentialRedaction,
-			EvalMode:            cfg.EvalMode,
 		})}
 	}
 }
@@ -436,17 +420,5 @@ func ParseMatcherKind(s string) (MatcherKind, error) {
 		return TREAT, nil
 	default:
 		return 0, fmt.Errorf("parulel: unknown matcher %q (want rete or treat)", s)
-	}
-}
-
-// ParseEvalMode converts a CLI flag value.
-func ParseEvalMode(s string) (EvalMode, error) {
-	switch s {
-	case "bytecode":
-		return EvalBytecode, nil
-	case "interp":
-		return EvalInterp, nil
-	default:
-		return 0, fmt.Errorf("parulel: unknown eval mode %q (want bytecode or interp)", s)
 	}
 }
